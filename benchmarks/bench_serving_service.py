@@ -66,6 +66,7 @@ import functools
 import json
 import multiprocessing
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -339,8 +340,8 @@ def _process_rss_bytes(pid: int | None) -> int | None:
 def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict:
     """HTTP qps at 1/2/4 shards plus the sharded correctness probes.
 
-    The parent engine is never mutated: shards work on pickled copies
-    and the broadcast append lands only in the shard processes and the
+    The parent engine is never mutated: shards attach a frozen copy of
+    its store and the broadcast append lands only in the shard processes and the
     single-process reference, so each rung starts from identical state.
     """
     del passes  # the broadcast append goes out as one batch
@@ -398,42 +399,38 @@ def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict
             checks["shard_digests"] = sorted(set(digests["digests"].values()))
             return summary
 
-    async def spawn_probe(snapshot_dir: str | None) -> dict:
-        """2-shard spawn cost: payload shipped, wall time, resident set.
+    async def spawn_probe() -> dict:
+        """2-shard spawn cost: template shipped, wall time, resident set.
 
-        With ``snapshot_dir`` the shards mmap-attach the frozen store
-        (the pickle template is store-free); without it each shard
-        unpickles a private store copy.  The attach run also swaps one
-        append through the barrier and records the digests, so the
-        mmap path's byte parity is checked on the same rung it is
-        priced on.
+        Shards mmap-attach the frozen store, so the pickled template is
+        store-free.  The probe also swaps one append through the barrier
+        and records the digests, so the attach path's byte parity is
+        checked on the same rung it is priced on.
         """
-        serving = SERVING.replace(shards=2, snapshot_dir=snapshot_dir)
-        async with ShardManager(engine, serving) as manager:
+        async with ShardManager(engine, SERVING.replace(shards=2)) as manager:
             stats = manager.spawn_stats()
             spawn_seconds = stats["spawn_seconds"]
             rss = [_process_rss_bytes(pid) for pid in manager.shard_pids()]
             probe = {
-                "mode": stats["mode"],
                 "template_bytes": stats["template_bytes"],
                 "spawn_seconds_mean": sum(spawn_seconds) / len(spawn_seconds),
                 "aggregate_shard_rss_bytes": sum(r for r in rss if r is not None),
+                "snapshot_bytes": stats.get("snapshot_bytes", 0),
             }
-            if snapshot_dir is not None:
-                probe["snapshot_bytes"] = stats.get("snapshot_bytes", 0)
-                batch = manager.build_append_table(held_out.to_dicts())
-                await manager.request_append(batch)
-                digests = await manager.store_digests()
-                probe["digest_consistent"] = digests["consistent"]
-                probe["digests"] = sorted(set(digests["digests"].values()))
+            batch = manager.build_append_table(held_out.to_dicts())
+            await manager.request_append(batch)
+            digests = await manager.store_digests()
+            probe["digest_consistent"] = digests["consistent"]
+            probe["digests"] = sorted(set(digests["digests"].values()))
             return probe
 
     phases["1"] = asyncio.run(single_process())
     phases["2"] = asyncio.run(sharded(2))
     phases["4"] = asyncio.run(sharded(4))
-    spawn_pickle = asyncio.run(spawn_probe(None))
-    with tempfile.TemporaryDirectory() as snapshot_dir:
-        spawn_attach = asyncio.run(spawn_probe(snapshot_dir))
+    spawn_attach = asyncio.run(spawn_probe())
+    # What one spawn would ship if the store travelled inside the
+    # pickled engine instead of the shared snapshot file.
+    pickled_engine_bytes = len(pickle.dumps(engine))
 
     # Byte-parity oracle for the broadcast append: a single-process
     # service consuming the identical batch must reach the same store.
@@ -455,12 +452,12 @@ def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict
         and spawn_attach.get("digests") == [oracle]
     )
     checks["spawn"] = {
-        "pickle": spawn_pickle,
         "attach": spawn_attach,
-        # Pickled-store payload / store-free template payload: how much
+        "pickled_engine_bytes": pickled_engine_bytes,
+        # Pickled full engine / store-free template payload: how much
         # per-shard spawn traffic the snapshot file absorbs.
         "payload_ratio": (
-            spawn_pickle["template_bytes"] / spawn_attach["template_bytes"]
+            pickled_engine_bytes / spawn_attach["template_bytes"]
             if spawn_attach["template_bytes"]
             else 0.0
         ),
@@ -502,8 +499,6 @@ def run_durability(
     pure journal replay from the pre-processed base — each timed and
     required to be byte-identical to the live run's final store.
     """
-    import tempfile
-
     engine, config, base, held_out = build_engine(rows, append_rows)
     questions = serving_questions(engine.store, requests)
     batches = split_batches(held_out, passes)
@@ -721,11 +716,11 @@ def verify(report: dict) -> list[str]:
             "single-process reference after the swap"
         )
     spawn = sharded["spawn"]
-    if spawn["attach"]["template_bytes"] >= spawn["pickle"]["template_bytes"]:
+    if spawn["attach"]["template_bytes"] >= spawn["pickled_engine_bytes"]:
         problems.append(
             "sharded: the mmap-attach spawn template "
             f"({spawn['attach']['template_bytes']} bytes) is not smaller "
-            f"than the pickled-store template ({spawn['pickle']['template_bytes']})"
+            f"than the pickled full engine ({spawn['pickled_engine_bytes']})"
         )
     if sharded["scaling_claim"] == "gated":
         if sharded["throughput_ratio"] < 1.6:

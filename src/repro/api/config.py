@@ -66,24 +66,16 @@ checkpoint_every_swaps / checkpoint_every_bytes:
     checkpoint — whichever comes first.
 checkpoint_keep:
     Checkpoints retained on disk (older ones are pruned).
-checkpoint_compact:
-    Persist the speech store inside checkpoints in the compact snapshot
-    format (``store.snap``, see :mod:`repro.store`) instead of canonical
-    JSON — smaller on disk and loadable via the checksummed attach path.
 snapshot_dir:
     Directory for frozen compact-store snapshots (see
-    :mod:`repro.store.publish`).  ``None`` (default) publishes nothing.
-    Set, the serving side freezes ``store-v{version}.snap`` there — the
-    base store at startup and every maintenance swap after — and a
-    sharded deployment switches to **mmap-attach spawning**: shards map
-    the current snapshot read-only instead of unpickling a private
-    store copy, so N shards share one page-cache copy of the store.
-attach_snapshots:
-    Attach the newest frozen snapshot from ``snapshot_dir`` at service
-    construction instead of using the engine's own store (requires
-    ``snapshot_dir``).  Set by the shard manager on the config it hands
-    spawned shards; a respawned shard thereby starts from the newest
-    frozen version and only replays the append-log suffix past it.
+    :mod:`repro.store.publish`).  ``None`` (default) publishes nothing
+    from a single-process service.  Set, the serving side freezes
+    ``store-v{version}.snap`` there — the base store at startup (after
+    clearing snapshots a previous deployment left behind) and every
+    maintenance swap after.  Sharded deployments always spawn shards
+    by mmap-attaching the newest snapshot, so N shards share one
+    page-cache copy of the store; without ``snapshot_dir`` the shard
+    manager uses a private temporary directory it removes on stop.
 """
 
 from __future__ import annotations
@@ -128,9 +120,7 @@ class ServingConfig:
     checkpoint_every_swaps: int = 4
     checkpoint_every_bytes: int = 4 * 1024 * 1024
     checkpoint_keep: int = 3
-    checkpoint_compact: bool = False
     snapshot_dir: str | None = None
-    attach_snapshots: bool = False
 
     def __post_init__(self) -> None:
         # Accept any iterable of specs (the CLI hands over a list).
@@ -194,8 +184,6 @@ class ServingConfig:
             )
         if self.snapshot_dir is not None and not str(self.snapshot_dir).strip():
             raise ValueError("snapshot_dir must be a non-empty path or None")
-        if self.attach_snapshots and self.snapshot_dir is None:
-            raise ValueError("attach_snapshots requires snapshot_dir")
 
     @property
     def resolved_executor_workers(self) -> int:

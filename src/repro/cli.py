@@ -299,7 +299,6 @@ def _build_serving_config(args: argparse.Namespace):
         journal_fsync=args.journal_fsync,
         checkpoint_every_swaps=args.checkpoint_every_swaps,
         checkpoint_keep=args.checkpoint_keep,
-        checkpoint_compact=getattr(args, "checkpoint_compact", False),
         snapshot_dir=getattr(args, "snapshot_dir", None),
     )
 
@@ -690,15 +689,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoints retained on disk (older ones pruned)",
     )
     serve_parser.add_argument(
-        "--checkpoint-compact", action="store_true", dest="checkpoint_compact",
-        help="persist the speech store inside checkpoints in the compact "
-        "snapshot format (store.snap) instead of canonical JSON",
-    )
-    serve_parser.add_argument(
         "--snapshot-dir", default=None, dest="snapshot_dir",
-        help="directory for frozen compact-store snapshots; with --shards "
-        "> 1 the shards mmap-attach the current snapshot instead of "
-        "unpickling a private store copy",
+        help="directory for frozen compact-store snapshots (shards "
+        "mmap-attach the newest one; without it a sharded deployment "
+        "uses a temporary directory)",
     )
     serve_parser.set_defaults(handler=command_serve)
 

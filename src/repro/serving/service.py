@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -63,25 +64,16 @@ from repro.serving.snapshots import SnapshotRegistry, StoreSnapshot
 from repro.storage.recovery import (
     DurabilityCoordinator,
     RecoveredState,
-    recover_state,
+    open_durable_state,
 )
-from repro.store import SnapshotError, SnapshotPublisher
+from repro.store import SnapshotPublisher
 from repro.system.classification import RequestType
 from repro.system.engine import ResponseKind, VoiceQueryEngine, VoiceResponse
 from repro.system.nlq import ParsedRequest
 from repro.system.updates import IncrementalMaintainer
 from repro.system.worker_pool import WorkerPool
 
-
-# ServiceOverloadedError and DEFAULT_LATENCY_WINDOW are re-exported for
-# back-compat; their canonical definitions live in repro.api (errors
-# and config), below the transports that share them.
-__all__ = [
-    "DEFAULT_LATENCY_WINDOW",
-    "ServiceMetrics",
-    "ServiceOverloadedError",
-    "VoiceService",
-]
+__all__ = ["ServiceMetrics", "VoiceService"]
 
 
 @dataclass
@@ -98,8 +90,11 @@ class ServiceMetrics:
     exact_hits: int = 0
     responses_by_kind: dict[str, int] = field(default_factory=dict)
     latency_window: int = DEFAULT_LATENCY_WINDOW
-    _latencies: list[float] = field(default_factory=list)
     _started_at: float = field(default_factory=time.perf_counter)
+
+    def __post_init__(self) -> None:
+        # A bounded deque drops the oldest sample in O(1) once full.
+        self._latencies: deque[float] = deque(maxlen=self.latency_window)
 
     def reset(self) -> None:
         """Zero all counters and restart the qps clock."""
@@ -124,8 +119,6 @@ class ServiceMetrics:
         if response.kind is ResponseKind.SPEECH and response.exact_match:
             self.exact_hits += 1
         self._latencies.append(latency)
-        if len(self._latencies) > self.latency_window:
-            del self._latencies[: len(self._latencies) - self.latency_window]
 
     @property
     def elapsed_seconds(self) -> float:
@@ -189,7 +182,9 @@ class VoiceService:
     ----------
     engine:
         A (typically pre-processed) :class:`VoiceQueryEngine`.  The
-        service seeds its first snapshot from ``engine.store``.
+        service seeds its first snapshot from ``engine.store``; a store
+        mmap-attached from a frozen snapshot (:func:`repro.store.attach`)
+        starts the registry at that snapshot's version.
     config:
         The :class:`repro.api.config.ServingConfig` holding every
         serving knob (concurrency, queue depth, executor/maintenance
@@ -247,68 +242,35 @@ class VoiceService:
         )
         self._durability: DurabilityCoordinator | None = None
         self._recovery: RecoveredState | None = None
-        self._publisher = None
-        initial_store_version = 0
-        if config.snapshot_dir is not None:
-            self._publisher = SnapshotPublisher(config.snapshot_dir)
-            if config.attach_snapshots:
-                # mmap-attach mode (shard side): serve from the newest
-                # frozen snapshot instead of the engine's own store —
-                # the respawn path that replays only the append-log
-                # suffix past the attached version.
-                attached = self._publisher.attach_latest()
-                if attached is None:
-                    raise SnapshotError(
-                        f"attach_snapshots is set but no snapshot in "
-                        f"{config.snapshot_dir} attaches "
-                        f"(last error: {self._publisher.last_error})"
-                    )
-                engine.swap_store(attached)
-                initial_store_version = attached.snapshot_version or 0
+        # A store mmap-attached from a frozen snapshot (how a shard
+        # starts) carries its version; any other store starts at 0.
+        attached_version = getattr(engine.store, "snapshot_version", None)
         if config.data_dir is not None:
-            if config.failpoints:
-                # Recovery-boundary failpoints (recover.replay) must be
-                # live before the replay below, not only at start().
-                faults.FAILPOINTS.ensure(config.failpoints, seed=config.failpoint_seed)
             # Recover durable state *before* seeding the first snapshot
             # and the maintainer, so both see the journal's appends.
-            recovered = recover_state(
-                config.data_dir,
-                engine.config,
-                base_store=engine.store,
-                base_table=engine.table,
-                summarizer=engine.summarizer,
-                realizer=engine.realizer,
-            )
-            engine.swap_store(recovered.store)
-            if recovered.table is not engine.table:
-                engine.adopt_table(recovered.table)
-            self._recovery = recovered
-            self._durability = DurabilityCoordinator(
-                config.data_dir,
-                fsync=config.journal_fsync,
-                checkpoint_every_swaps=config.checkpoint_every_swaps,
-                checkpoint_every_bytes=config.checkpoint_every_bytes,
-                checkpoint_keep=config.checkpoint_keep,
-                checkpoint_compact=config.checkpoint_compact,
-                next_seq=recovered.next_seq,
-                truncate_at=recovered.journal_offset,
-                applied_seq=recovered.applied_seq,
-            )
-            if recovered.replayed_records:
+            self._recovery, self._durability = open_durable_state(engine, config)
+            if self._recovery.replayed_records:
                 # Fold the replayed records into a fresh checkpoint so
                 # the next restart (and every crash until the first
-                # policy checkpoint) replays nothing twice.
+                # policy checkpoint) replays nothing twice.  This is
+                # also how a directory whose checkpoints predate the
+                # current format converts: they are skipped, the
+                # journal replays, and this save writes the new format.
                 self._durability.checkpoint_now(
-                    recovered.store, recovered.table, store_version=0
+                    self._recovery.store, self._recovery.table, store_version=0
                 )
-        self._registry = SnapshotRegistry(
-            engine.store, version=initial_store_version, publisher=self._publisher
+        self._publisher = (
+            SnapshotPublisher(config.snapshot_dir)
+            if config.snapshot_dir is not None
+            else None
         )
-        if self._publisher is not None and not config.attach_snapshots:
+        self._registry = SnapshotRegistry(
+            engine.store, version=attached_version or 0, publisher=self._publisher
+        )
+        if self._publisher is not None and attached_version is None:
             # Freeze the base store so the snapshot directory always
             # covers a cold (re)spawn; swaps refreeze via the scheduler.
-            self._registry.publish_current()
+            self._publisher.publish_base(engine.store)
         self._scheduler = MaintenanceScheduler(
             maintainer
             or IncrementalMaintainer(

@@ -4,9 +4,14 @@ One asyncio :class:`repro.serving.service.VoiceService` process tops
 out when the event loop saturates — serving, envelope encoding and
 maintenance all contend for a single core.  :class:`ShardManager`
 scales horizontally: it spawns ``config.shards`` worker processes
-(each owning a full engine + store snapshot behind its own
-``VoiceService`` + ``VoiceHttpServer`` on a loopback port) and routes
-requests from a lightweight front router.
+(each owning a full engine behind its own ``VoiceService`` +
+``VoiceHttpServer`` on a loopback port) and routes requests from a
+lightweight front router.
+
+Shards spawn by **mmap-attach**: the manager freezes the base store as
+snapshot v0 (:mod:`repro.store`) and ships each shard a pickled engine
+template *without* its store; the shard attaches the newest snapshot
+read-only, so N shards share one page-cache copy of the store.
 
 Routing
 -------
@@ -44,11 +49,11 @@ Supervision
 -----------
 A background supervisor polls shard liveness.  A crashed shard (e.g.
 the ``shard.crash`` failpoint, evaluated router-side so its counters
-stay deterministic in one process) is respawned from the base engine
-and caught up by replaying the router's append log — same batches,
-same grouping, same bytes.  In-flight requests routed at a dead shard
-retry on the next healthy shard, so an injected crash loses zero
-requests.  ``/healthz`` reports ``degraded`` while any shard is down.
+stay deterministic in one process) is respawned from the newest frozen
+snapshot and caught up by replaying the router's append log past that
+version — same batches, same grouping, same bytes.  In-flight requests
+routed at a dead shard retry on the next healthy shard, so an injected
+crash loses zero requests.  ``/healthz`` reports ``degraded`` while any shard is down.
 
 The manager exposes the same surface :class:`VoiceHttpServer` expects
 from a ``VoiceService`` (``submit``, ``health``, ``metrics_summary``,
@@ -67,6 +72,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import tempfile
 import time
 from typing import Any, Iterable, Sequence
 
@@ -84,7 +90,7 @@ from repro.api.errors import (
 from repro.relational.errors import SchemaError, TypeMismatchError
 from repro.relational.table import Table
 from repro.reliability import faults
-from repro.storage.recovery import DurabilityCoordinator, recover_state
+from repro.storage.recovery import DurabilityCoordinator, open_durable_state
 from repro.store import SnapshotError, SnapshotPublisher
 from repro.system.engine import VoiceQueryEngine, VoiceResponse
 from repro.system.speech_store import SpeechStore
@@ -165,25 +171,21 @@ class ConsistentHashRing:
         raise RuntimeError("no healthy shards to route to")  # pragma: no cover
 
 
-def _shard_main(conn, engine, config, index: int) -> None:
+def _shard_main(conn, template: bytes, config, index: int) -> None:
     """Entry point of one shard process (spawn start method).
 
-    Runs a full :class:`VoiceService` + :class:`VoiceHttpServer` on an
+    Unpickles the store-free engine ``template``, attaches the newest
+    snapshot in ``config.snapshot_dir`` read-only as its store, runs a
+    full :class:`VoiceService` + :class:`VoiceHttpServer` on an
     ephemeral loopback port, reports ``("ready", index, port)`` over
     ``conn``, and serves until SIGTERM/SIGINT (clean drain, exit 0).
-
-    In mmap-attach mode ``engine`` arrives as a pre-pickled template
-    *without its store* (the manager froze the store to a snapshot
-    file); the service constructor attaches the newest snapshot from
-    ``config.snapshot_dir`` read-only instead.
+    Any startup failure — :class:`SnapshotError` when no snapshot
+    attaches — is reported as ``("error", index, repr)`` and re-raised.
     """
     # Imported lazily so the spawn interpreter pays for them once the
     # engine payload has already unpickled successfully.
     from repro.api.http_server import VoiceHttpServer
     from repro.serving.service import VoiceService
-
-    if isinstance(engine, bytes):
-        engine = pickle.loads(engine)
 
     def _quiet_cancelled(loop, context) -> None:
         # Keep-alive router connections parked in readline() at loop
@@ -194,7 +196,7 @@ def _shard_main(conn, engine, config, index: int) -> None:
             return
         loop.default_exception_handler(context)
 
-    async def run() -> None:
+    async def run(engine: VoiceQueryEngine) -> None:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         loop.set_exception_handler(_quiet_cancelled)
@@ -207,8 +209,17 @@ def _shard_main(conn, engine, config, index: int) -> None:
                 await stop.wait()
 
     try:
-        asyncio.run(run())
-    except Exception as exc:  # pragma: no cover - startup failure surface
+        engine = pickle.loads(template)
+        publisher = SnapshotPublisher(config.snapshot_dir)
+        attached = publisher.attach_latest()
+        if attached is None:
+            raise SnapshotError(
+                f"no snapshot in {config.snapshot_dir} attaches "
+                f"(last error: {publisher.last_error})"
+            )
+        engine.swap_store(attached)
+        asyncio.run(run(engine))
+    except Exception as exc:
         try:
             conn.send(("error", index, repr(exc)))
             conn.close()
@@ -281,16 +292,20 @@ class ShardManager:
     ----------
     engine:
         The pre-processed base engine.  With ``config.data_dir`` set,
-        durable state is recovered into it *before* the shards spawn,
-        so every shard starts from the recovered store; afterwards the
-        engine object is only the pickle template for (re)spawns — the
-        live stores evolve inside the shard processes.
+        durable state is recovered into it *before* its store is frozen
+        as snapshot v0, so every shard starts from the recovered store;
+        afterwards the engine (minus its store) is only the pickle
+        template for (re)spawns — the live stores evolve inside the
+        shard processes.
     config:
         A :class:`repro.api.config.ServingConfig` with ``shards`` >= 1.
         Each shard serves with a copy of this config minus ``data_dir``
         (the router owns the one journal) and minus ``failpoints``
         (router-side sites like ``shard.crash`` must keep their
-        counters in one process; shards run fault-free).
+        counters in one process; shards run fault-free).  Snapshots go
+        to ``config.snapshot_dir`` (cleared of a previous deployment's
+        snapshots first) or, when unset, to a temporary directory the
+        manager removes in :meth:`stop`.
 
     Use as an async context manager from one event loop, like the
     service it stands in for.
@@ -303,61 +318,34 @@ class ShardManager:
         self._ring = ConsistentHashRing(self._shard_count)
         self._shards = [_ShardHandle(index) for index in range(self._shard_count)]
         self._mp = multiprocessing.get_context("spawn")
-        self._shard_config = self._config.replace(
-            shards=1, data_dir=None, failpoints=()
-        )
         self._durability: DurabilityCoordinator | None = None
         if self._config.data_dir is not None:
-            if self._config.failpoints:
-                faults.FAILPOINTS.ensure(
-                    self._config.failpoints, seed=self._config.failpoint_seed
-                )
-            recovered = recover_state(
-                self._config.data_dir,
-                engine.config,
-                base_store=engine.store,
-                base_table=engine.table,
-                summarizer=engine.summarizer,
-                realizer=engine.realizer,
+            _, self._durability = open_durable_state(engine, self._config)
+        # Freeze the (recovered) base store as snapshot v0 and pickle
+        # the engine *minus its store*: the heavy payload ships once as
+        # a file every shard maps read-only instead of N private copies.
+        self._owned_snapshot_dir: tempfile.TemporaryDirectory | None = None
+        snapshot_dir = self._config.snapshot_dir
+        if snapshot_dir is None:
+            self._owned_snapshot_dir = tempfile.TemporaryDirectory(
+                prefix="voice-shards-"
             )
-            engine.swap_store(recovered.store)
-            if recovered.table is not engine.table:
-                engine.adopt_table(recovered.table)
-            self._durability = DurabilityCoordinator(
-                self._config.data_dir,
-                fsync=self._config.journal_fsync,
-                checkpoint_every_swaps=self._config.checkpoint_every_swaps,
-                checkpoint_every_bytes=self._config.checkpoint_every_bytes,
-                checkpoint_keep=self._config.checkpoint_keep,
-                next_seq=recovered.next_seq,
-                truncate_at=recovered.journal_offset,
-                applied_seq=recovered.applied_seq,
+            snapshot_dir = self._owned_snapshot_dir.name
+        self._publisher = SnapshotPublisher(snapshot_dir)
+        if self._publisher.publish_base(engine.store) is None:
+            raise SnapshotError(
+                "could not freeze base snapshot v0 into "
+                f"{snapshot_dir}: {self._publisher.last_error}"
             )
-        # With a snapshot directory the manager switches to mmap-attach
-        # spawning: the base store is frozen as snapshot v0 (after
-        # recovery, so shards attach the recovered state), the shard
-        # config points at the directory, and the pickle template is the
-        # engine *minus its store* — the heavy payload ships once as a
-        # file every shard maps read-only instead of N private copies.
-        self._publisher: SnapshotPublisher | None = None
-        self._spawn_payload: VoiceQueryEngine | bytes = engine
+        self._shard_config = self._config.replace(
+            shards=1, data_dir=None, failpoints=(), snapshot_dir=snapshot_dir
+        )
+        previous = engine.swap_store(SpeechStore())
+        try:
+            self._spawn_template = pickle.dumps(engine)
+        finally:
+            engine.swap_store(previous)
         self._spawn_seconds: list[float] = []
-        if self._config.snapshot_dir is not None:
-            self._publisher = SnapshotPublisher(self._config.snapshot_dir)
-            if self._publisher.publish(engine.store, 0) is None:
-                raise SnapshotError(
-                    "could not freeze base snapshot v0 into "
-                    f"{self._config.snapshot_dir}: {self._publisher.last_error}"
-                )
-            self._shard_config = self._shard_config.replace(
-                snapshot_dir=self._config.snapshot_dir,
-                attach_snapshots=True,
-            )
-            previous = engine.swap_store(SpeechStore())
-            try:
-                self._spawn_payload = pickle.dumps(engine)
-            finally:
-                engine.swap_store(previous)
         # Post-start appends, in broadcast order: (journal seq or None,
         # JSON rows).  Replayed one batch at a time into respawned
         # shards so every shard applies the same jobs in the same order.
@@ -409,7 +397,7 @@ class ShardManager:
         return self._durability
 
     @property
-    def publisher(self) -> SnapshotPublisher | None:
+    def publisher(self) -> SnapshotPublisher:
         return self._publisher
 
     def shard_ports(self) -> list[int | None]:
@@ -425,29 +413,19 @@ class ShardManager:
     def spawn_stats(self) -> dict:
         """What each (re)spawn ships and how long the handshakes took.
 
-        ``template_bytes`` is the pickled engine payload a shard
-        receives; in attach mode that excludes the store, which instead
-        arrives via the mmap'd snapshot file (``snapshot_bytes``).
-        Computing the pickle-mode size is O(store), so this is meant
-        for benchmarks and tests, not hot paths.
+        ``template_bytes`` is the store-free pickled engine a shard
+        receives; the store arrives via the mmap'd snapshot file
+        (``snapshot_bytes``, newest version ``snapshot_version``).
         """
-        if isinstance(self._spawn_payload, bytes):
-            template_bytes = len(self._spawn_payload)
-        else:
-            template_bytes = len(pickle.dumps(self._spawn_payload))
         stats: dict[str, Any] = {
-            "mode": "attach" if self._publisher is not None else "pickle",
-            "template_bytes": template_bytes,
+            "template_bytes": len(self._spawn_template),
             "spawn_seconds": list(self._spawn_seconds),
         }
-        if self._publisher is not None:
-            versions = self._publisher.versions()
-            if versions:
-                newest = versions[-1]
-                stats["snapshot_version"] = newest
-                stats["snapshot_bytes"] = (
-                    self._publisher.path_for(newest).stat().st_size
-                )
+        versions = self._publisher.versions()
+        if versions:
+            newest = versions[-1]
+            stats["snapshot_version"] = newest
+            stats["snapshot_bytes"] = self._publisher.path_for(newest).stat().st_size
         return stats
 
     def _healthy_indices(self) -> list[int]:
@@ -504,6 +482,8 @@ class ShardManager:
         )
         if self._durability is not None:
             self._durability.close()
+        if self._owned_snapshot_dir is not None:
+            self._owned_snapshot_dir.cleanup()
 
     def _spawn_shard(self, handle: _ShardHandle) -> None:
         """Start one shard process and block until it reports ready.
@@ -515,7 +495,7 @@ class ShardManager:
         recv_conn, send_conn = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=_shard_main,
-            args=(send_conn, self._spawn_payload, self._shard_config, handle.index),
+            args=(send_conn, self._spawn_template, self._shard_config, handle.index),
             name=f"voice-shard-{handle.index}",
             daemon=True,
         )
@@ -591,13 +571,11 @@ class ShardManager:
         shard's maintenance jobs group exactly like the live shards'
         did — the precondition for byte-identical stores.
 
-        In mmap-attach mode the shard started from the newest frozen
-        snapshot, whose version equals the append-log position that
-        produced it — only the suffix past it needs replaying.
+        The shard started from the newest frozen snapshot, whose
+        version equals the append-log position that produced it — only
+        the suffix past it needs replaying.
         """
-        start_version = 0
-        if self._publisher is not None:
-            start_version = await self._shard_version(handle)
+        start_version = await self._shard_version(handle)
         for position, (_, rows) in enumerate(self._append_log, start=1):
             if position <= start_version:
                 continue

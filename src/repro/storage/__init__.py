@@ -25,7 +25,7 @@ On-disk layout under a service's ``data_dir``::
       checkpoints/
         ckpt-000000000042/   one checkpoint (name = applied_seq)
           manifest.json      watermark + checksums
-          store.json         canonical speech-store payload
+          store.snap         speech store, frozen in the repro.store format
           table.json         canonical table payload
 """
 
@@ -44,6 +44,7 @@ from repro.storage.durability import (
 from repro.storage.recovery import (
     DurabilityCoordinator,
     RecoveredState,
+    open_durable_state,
     recover_state,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "RecoveredState",
     "decode_record",
     "encode_record",
+    "open_durable_state",
     "read_journal",
     "recover_state",
     "table_from_payload",

@@ -8,13 +8,10 @@ watermark.
 Each checkpoint is a directory named by its watermark
 (``ckpt-000000000042``) holding three files:
 
-* ``store.json`` — the canonical speech-store payload
-  (:func:`repro.system.persistence.canonical_store_payload`), the same
-  bytes the parity oracle compares.  With ``compact=True`` the store is
-  written as ``store.snap`` instead — the checksummed columnar snapshot
-  format of :mod:`repro.store`, considerably smaller for large stores
-  and validated twice on load (manifest CRC plus the format's own
-  header/section checksums).
+* ``store.snap`` — the speech store frozen in the checksummed columnar
+  snapshot format of :mod:`repro.store` (the same format shards attach),
+  validated twice on load: manifest CRC plus the format's own
+  header/section checksums.
 * ``table.json`` — the maintained table, canonically encoded.
 * ``manifest.json`` — the watermark (``applied_seq``), the snapshot
   version that produced the state, the journal byte offset at save
@@ -26,7 +23,11 @@ on POSIX) and the parent directory fsync'd.  A crash mid-save leaves a
 ``.tmp-`` directory that loading ignores and the next save sweeps.
 Loading validates the manifest and both checksums and silently falls
 back to the next-older checkpoint on any mismatch — a corrupt or
-version-skewed checkpoint costs replay time, never correctness.
+version-skewed checkpoint costs replay time, never correctness.  That
+fallback also retires older on-disk formats: a checkpoint of an earlier
+format version is skipped, recovery replays the journal instead, and
+the service's post-replay checkpoint rewrites the state in the current
+format.
 """
 
 from __future__ import annotations
@@ -42,14 +43,12 @@ from repro.relational.table import Table
 from repro.reliability import faults
 from repro.storage.durability import table_from_payload, table_to_payload
 from repro.store import attach, freeze
-from repro.system.persistence import (
-    canonical_store_payload,
-    store_from_payload,
-)
 from repro.system.speech_store import SpeechStore
 
 #: Manifest format marker; a mismatch invalidates the checkpoint.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+
+_STORE_FILE = "store.snap"
 
 _PREFIX = "ckpt-"
 _TMP_PREFIX = ".tmp-"
@@ -81,19 +80,13 @@ class CheckpointManager:
         ``checkpoints/`` subdirectory).
     keep:
         Checkpoints retained after each save; older ones are deleted.
-    compact:
-        Persist the store in the compact snapshot format
-        (``store.snap``) instead of canonical JSON.  Loading handles
-        both formats regardless of this flag, so the setting can be
-        toggled between runs.
     """
 
-    def __init__(self, root: str | Path, keep: int = 3, compact: bool = False):
+    def __init__(self, root: str | Path, keep: int = 3):
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
         self._dir = Path(root) / "checkpoints"
         self._keep = int(keep)
-        self._compact = bool(compact)
 
     @property
     def directory(self) -> Path:
@@ -137,13 +130,8 @@ class CheckpointManager:
             shutil.rmtree(tmp)
         tmp.mkdir()
         try:
-            if self._compact:
-                store_file = "store.snap"
-                freeze(store, tmp / store_file, snapshot_version=int(store_version))
-                store_payload = (tmp / store_file).read_bytes()
-            else:
-                store_file = "store.json"
-                store_payload = canonical_store_payload(store)
+            freeze(store, tmp / _STORE_FILE, snapshot_version=int(store_version))
+            store_payload = (tmp / _STORE_FILE).read_bytes()
             table_payload = json.dumps(
                 table_to_payload(table), sort_keys=True, separators=(",", ":")
             ).encode("utf-8")
@@ -152,12 +140,9 @@ class CheckpointManager:
                 "applied_seq": int(applied_seq),
                 "store_version": int(store_version),
                 "journal_offset": int(journal_offset),
-                "store_format": "compact" if self._compact else "json",
                 "store_crc32": zlib.crc32(store_payload),
                 "table_crc32": zlib.crc32(table_payload),
             }
-            if not self._compact:
-                self._write_file(tmp / store_file, store_payload)
             self._write_file(tmp / "table.json", table_payload)
             self._write_file(
                 tmp / "manifest.json",
@@ -233,21 +218,16 @@ class CheckpointManager:
             return None
         if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             return None
-        store_format = manifest.get("store_format", "json")
         try:
-            store_file = "store.snap" if store_format == "compact" else "store.json"
-            store_payload = (path / store_file).read_bytes()
+            store_payload = (path / _STORE_FILE).read_bytes()
             table_payload = (path / "table.json").read_bytes()
             if zlib.crc32(store_payload) != int(manifest["store_crc32"]):
                 return None
             if zlib.crc32(table_payload) != int(manifest["table_crc32"]):
                 return None
-            if store_format == "compact":
-                # attach() re-verifies the format's own checksums; thaw
-                # to a mutable store so journal replay can build on it.
-                store = attach(path / store_file).clone()
-            else:
-                store, _ = store_from_payload(store_payload)
+            # attach() re-verifies the format's own checksums; thaw to
+            # a mutable store so journal replay can build on it.
+            store = attach(path / _STORE_FILE).clone()
             table = table_from_payload(json.loads(table_payload.decode("utf-8")))
             return LoadedCheckpoint(
                 store=store,

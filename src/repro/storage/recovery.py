@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.relational.table import Table
 from repro.reliability import faults
@@ -60,6 +60,10 @@ from repro.storage.durability import (
 from repro.system.config import SummarizationConfig
 from repro.system.speech_store import SpeechStore
 from repro.system.updates import IncrementalMaintainer
+
+if TYPE_CHECKING:
+    from repro.api.config import ServingConfig
+    from repro.system.engine import VoiceQueryEngine
 
 #: Journal file name inside a data directory.
 JOURNAL_NAME = "journal.wal"
@@ -196,6 +200,44 @@ def recover_state(
     )
 
 
+def open_durable_state(
+    engine: VoiceQueryEngine, config: ServingConfig
+) -> tuple[RecoveredState, DurabilityCoordinator]:
+    """Recover ``config.data_dir`` into ``engine`` and reopen its journal.
+
+    The one durable-state bootstrap of the serving tier: installs the
+    config's failpoints (so ``recover.replay`` fires during replay),
+    runs :func:`recover_state` from the engine's store and table, swaps
+    the recovered store and table into the engine, and opens a
+    :class:`DurabilityCoordinator` resuming past the journal's longest
+    valid prefix.
+    """
+    if config.failpoints:
+        faults.FAILPOINTS.ensure(config.failpoints, seed=config.failpoint_seed)
+    recovered = recover_state(
+        config.data_dir,
+        engine.config,
+        base_store=engine.store,
+        base_table=engine.table,
+        summarizer=engine.summarizer,
+        realizer=engine.realizer,
+    )
+    engine.swap_store(recovered.store)
+    if recovered.table is not engine.table:
+        engine.adopt_table(recovered.table)
+    durability = DurabilityCoordinator(
+        config.data_dir,
+        fsync=config.journal_fsync,
+        checkpoint_every_swaps=config.checkpoint_every_swaps,
+        checkpoint_every_bytes=config.checkpoint_every_bytes,
+        checkpoint_keep=config.checkpoint_keep,
+        next_seq=recovered.next_seq,
+        truncate_at=recovered.journal_offset,
+        applied_seq=recovered.applied_seq,
+    )
+    return recovered, durability
+
+
 class DurabilityCoordinator:
     """Threads journal writes and checkpoints through the scheduler.
 
@@ -221,7 +263,6 @@ class DurabilityCoordinator:
         next_seq: int = 1,
         truncate_at: int | None = None,
         applied_seq: int = 0,
-        checkpoint_compact: bool = False,
     ):
         if checkpoint_every_swaps < 1:
             raise ValueError(
@@ -239,9 +280,7 @@ class DurabilityCoordinator:
             next_seq=next_seq,
             truncate_at=truncate_at,
         )
-        self._checkpoints = CheckpointManager(
-            self._data_dir, keep=checkpoint_keep, compact=checkpoint_compact
-        )
+        self._checkpoints = CheckpointManager(self._data_dir, keep=checkpoint_keep)
         self._every_swaps = int(checkpoint_every_swaps)
         self._every_bytes = int(checkpoint_every_bytes)
         self._applied_seq = int(applied_seq)

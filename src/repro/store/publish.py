@@ -5,8 +5,9 @@ The serving stack's unit of store exchange is a *published snapshot*:
 generation.  The :class:`SnapshotPublisher` is the single owner of that
 naming scheme:
 
-* the router freezes the base store as version 0 before spawning
-  shards;
+* a deployment starts with :meth:`~SnapshotPublisher.publish_base`
+  (the router before spawning shards, or a stand-alone service), which
+  freezes the base store as version 0 into an emptied directory;
 * every shard's registry refreezes the maintained store on swap —
   freezing is deterministic and publishing is skip-if-present, so N
   shards publishing the same version is idempotent (identical bytes,
@@ -60,6 +61,17 @@ class SnapshotPublisher:
             if match:
                 found.append(int(match.group(1)))
         return sorted(found)
+
+    def publish_base(self, store: Any) -> Path | None:
+        """Start a deployment: delete every snapshot, freeze ``store`` as v0.
+
+        Snapshots a previous deployment left behind would otherwise be
+        attached by shards (the newest wins) or shadow this deployment's
+        versions (publishing skips files that already exist).
+        """
+        for version in self.versions():
+            self.path_for(version).unlink(missing_ok=True)
+        return self.publish(store, 0)
 
     def publish(self, store: Any, version: int) -> Path | None:
         """Freeze ``store`` as ``version``; None when the freeze failed.

@@ -5,9 +5,13 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serving import ServiceOverloadedError, VoiceService
-from repro.system.engine import ResponseKind
+from repro.api.errors import ServiceOverloadedError
+from repro.serving import ServiceMetrics, VoiceService
+from repro.system.classification import RequestType
+from repro.system.engine import ResponseKind, VoiceResponse
 
 from tests.serving.conftest import append_table
 
@@ -213,6 +217,38 @@ class TestMetrics:
         summary = asyncio.run(run())
         assert summary["completed"] == 0
         assert summary["p99_ms"] == 0.0
+
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False), max_size=60
+        ),
+        window=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_keeps_newest_samples(self, samples, window):
+        metrics = ServiceMetrics(latency_window=window)
+        response = VoiceResponse(
+            kind=ResponseKind.HELP, text="help", request_type=RequestType.HELP
+        )
+        for latency in samples:
+            metrics.observe(response, latency, offloaded=False)
+
+        # Reference: a sorted list of the newest `window` samples, read
+        # at the nearest rank.
+        kept = samples[-window:] if samples else []
+        assert list(metrics._latencies) == kept
+        ordered = sorted(kept)
+
+        def nearest_rank(fraction):
+            if not ordered:
+                return 0.0
+            return ordered[round(fraction * (len(ordered) - 1))]
+
+        summary = metrics.summary()
+        assert summary["completed"] == len(samples)
+        for key, fraction in (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99)):
+            assert summary[key] == nearest_rank(fraction) * 1000.0
+            assert metrics.latency_percentile(fraction) == nearest_rank(fraction)
 
 
 class TestServingConfigConstruction:

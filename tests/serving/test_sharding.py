@@ -18,6 +18,7 @@ Three contracts of :class:`repro.serving.sharding.ShardManager`:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,17 @@ from repro.api import ServingConfig, VoiceRequest
 from repro.api.envelopes import ResponseKind
 from repro.serving import ConsistentHashRing, ShardManager, VoiceService
 from repro.serving.sharding import shard_indices_for
+from repro.store import SnapshotError, SnapshotPublisher
+from repro.system.persistence import canonical_store_payload
+from repro.system.speech_store import SpeechStore
 
 from tests.conftest import build_example_table
 from tests.serving.conftest import append_table, make_engine
+
+
+def digest_of(store) -> str:
+    return hashlib.sha256(canonical_store_payload(store)).hexdigest()
+
 
 KEYS = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -87,7 +96,7 @@ APPEND_ROWS = [("East", "Winter", 55.0), ("North", "Summer", 44.0)]
 
 
 class TestShardedServing:
-    """Spawns real shard processes — kept to two tests to bound runtime."""
+    """Spawns real shard processes — each test a whole scenario, to bound runtime."""
 
     def test_crash_failover_respawn_and_session_survival(self):
         engine = make_engine(build_example_table())
@@ -176,9 +185,9 @@ class TestShardedServing:
         asyncio.run(asyncio.wait_for(scenario(), timeout=180))
 
     def test_mmap_attach_mode_digest_parity_and_suffix_catch_up(self, tmp_path):
-        """The tentpole contract of attach-mode spawning, end to end.
+        """The contract of attach spawning, end to end.
 
-        With ``snapshot_dir`` set the shards mmap the frozen base store
+        The shards mmap the frozen base store from ``snapshot_dir``
         instead of unpickling a private copy (the spawn template must
         not contain the store), post-swap digests match a
         single-process service byte-for-byte, and a SIGKILLed shard
@@ -204,7 +213,6 @@ class TestShardedServing:
         async def scenario(ref_digest):
             async with ShardManager(engine, config) as manager:
                 stats = manager.spawn_stats()
-                assert stats["mode"] == "attach"
                 assert stats["snapshot_version"] == 0
                 # The spawn template must be store-free: a pickled full
                 # engine would dwarf it.
@@ -246,3 +254,113 @@ class TestShardedServing:
 
         ref_digest = asyncio.run(reference())
         asyncio.run(asyncio.wait_for(scenario(ref_digest), timeout=180))
+
+    def test_default_spawn_uses_private_snapshot_dir(self):
+        """Without ``snapshot_dir`` shards still attach, from a
+        temporary directory the manager removes on stop."""
+        import pickle
+
+        engine = make_engine(build_example_table())
+        config = ServingConfig(concurrency=2, shards=2)
+
+        async def scenario():
+            async with ShardManager(engine, config) as manager:
+                directory = manager.publisher.directory
+                assert directory.is_dir()
+                stats = manager.spawn_stats()
+                assert stats["snapshot_version"] == 0
+                assert stats["template_bytes"] < len(pickle.dumps(engine)) / 2
+                digests = await manager.store_digests()
+                assert digests["consistent"], digests
+                return directory, set(digests["digests"].values())
+
+        directory, shard_digests = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=180)
+        )
+        assert shard_digests == {digest_of(engine.store)}
+        assert not directory.exists()
+
+    def test_stale_snapshot_dir_is_not_served(self, tmp_path):
+        """A previous deployment's newer snapshot must not be attached."""
+        engine = make_engine(build_example_table())
+        SnapshotPublisher(tmp_path).publish(SpeechStore(), 5)
+        config = ServingConfig(concurrency=2, shards=2, snapshot_dir=str(tmp_path))
+
+        async def scenario():
+            async with ShardManager(engine, config) as manager:
+                assert manager.publisher.versions() == [0]
+                digests = await manager.store_digests()
+                assert digests["consistent"], digests
+                assert digests["snapshot_version"] == 0
+                return set(digests["digests"].values())
+
+        shard_digests = asyncio.run(asyncio.wait_for(scenario(), timeout=180))
+        assert shard_digests == {digest_of(engine.store)}
+
+    def test_durable_restart_on_same_directories(self, tmp_path):
+        """A restart recovers the journal and serves it from a fresh v0,
+        not from the snapshots the previous run's shards froze."""
+        config = ServingConfig(
+            concurrency=2,
+            shards=2,
+            data_dir=str(tmp_path / "data"),
+            snapshot_dir=str(tmp_path / "snapshots"),
+        )
+        batches = [APPEND_ROWS, [("South", "Spring", 12.0)]]
+
+        async def append(manager, rows):
+            await manager.request_append(
+                manager.build_append_table(
+                    [dict(zip(("region", "season", "delay"), row)) for row in rows]
+                )
+            )
+            digests = await manager.store_digests()
+            assert digests["consistent"], digests
+            return set(digests["digests"].values())
+
+        async def first_run():
+            async with ShardManager(make_engine(build_example_table()), config) as manager:
+                await append(manager, batches[0])
+
+        async def restart():
+            async with ShardManager(make_engine(build_example_table()), config) as manager:
+                assert manager.publisher.versions() == [0]
+                digests = await manager.store_digests()
+                assert digests["consistent"], digests
+                recovered = set(digests["digests"].values())
+                after = await append(manager, batches[1])
+                assert manager.version == 1
+                # The shards froze the append as v1, the version the
+                # barrier waited for.
+                assert manager.publisher.versions() == [0, 1]
+                return recovered, after
+
+        async def reference(count):
+            service = VoiceService(make_engine(build_example_table()))
+            async with service:
+                for rows in batches[:count]:
+                    service.request_append(append_table(rows))
+                    await service.scheduler.quiesce()
+                return service.store_digest()["digest"]
+
+        asyncio.run(asyncio.wait_for(first_run(), timeout=180))
+        recovered, after = asyncio.run(asyncio.wait_for(restart(), timeout=180))
+        assert recovered == {asyncio.run(reference(1))}
+        assert after == {asyncio.run(reference(2))}
+
+
+class TestShardStartup:
+    def test_shard_without_attachable_snapshot_fails_loudly(self, tmp_path):
+        import multiprocessing
+        import pickle
+
+        from repro.serving.sharding import _shard_main
+
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        config = ServingConfig(snapshot_dir=str(tmp_path))
+        template = pickle.dumps(make_engine(build_example_table()))
+        with pytest.raises(SnapshotError):
+            _shard_main(sender, template, config, 3)
+        kind, index, detail = receiver.recv()
+        assert (kind, index) == ("error", 3)
+        assert "SnapshotError" in detail

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.storage.checkpoint import (
     CheckpointManager,
 )
 from repro.system.persistence import canonical_store_payload
+from repro.system.speech_store import SpeechStore
 
 from tests.serving.conftest import append_table
 
@@ -31,6 +33,11 @@ class TestSaveAndLoad:
         manager = CheckpointManager(tmp_path)
         path = save_checkpoint(manager, engine, applied_seq=7, journal_offset=123)
         assert path.name == "ckpt-000000000007"
+        assert sorted(entry.name for entry in path.iterdir()) == [
+            "manifest.json",
+            "store.snap",
+            "table.json",
+        ]
 
         loaded = CheckpointManager(tmp_path).load_latest()
         assert loaded is not None
@@ -39,6 +46,8 @@ class TestSaveAndLoad:
         assert canonical_store_payload(loaded.store) == canonical_store_payload(
             engine.store
         )
+        # The thawed store must be mutable (journal replay builds on it).
+        assert isinstance(loaded.store, SpeechStore)
         assert loaded.table.num_rows == engine.table.num_rows
 
     def test_empty_directory_loads_none(self, tmp_path):
@@ -75,13 +84,30 @@ class TestCorruptCheckpoints:
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
         newest = save_checkpoint(manager, engine, applied_seq=2)
-        blob = bytearray((newest / "store.json").read_bytes())
+        blob = bytearray((newest / "store.snap").read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        (newest / "store.json").write_bytes(bytes(blob))
+        (newest / "store.snap").write_bytes(bytes(blob))
 
         loaded = manager.load_latest()
         assert loaded is not None
         assert loaded.applied_seq == 1
+
+    def test_snapshot_checksums_catch_corruption_the_manifest_missed(
+        self, tmp_path, engine
+    ):
+        # Corrupt the store and re-sign the manifest: the snapshot
+        # format's own section checksums must still reject the file.
+        manager = CheckpointManager(tmp_path)
+        save_checkpoint(manager, engine, applied_seq=1)
+        newest = save_checkpoint(manager, engine, applied_seq=2)
+        blob = bytearray((newest / "store.snap").read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        (newest / "store.snap").write_bytes(bytes(blob))
+        manifest = json.loads((newest / "manifest.json").read_text())
+        manifest["store_crc32"] = zlib.crc32(bytes(blob))
+        (newest / "manifest.json").write_text(json.dumps(manifest))
+
+        assert manager.load_latest().applied_seq == 1
 
     def test_table_crc_mismatch_invalidates(self, tmp_path, engine):
         manager = CheckpointManager(tmp_path)
@@ -107,7 +133,7 @@ class TestCorruptCheckpoints:
     def test_missing_store_file_invalidates(self, tmp_path, engine):
         manager = CheckpointManager(tmp_path)
         newest = save_checkpoint(manager, engine, applied_seq=2)
-        (newest / "store.json").unlink()
+        (newest / "store.snap").unlink()
         assert manager.load_latest() is None
 
     def test_tmp_leftovers_ignored_and_swept(self, tmp_path, engine):
@@ -115,7 +141,7 @@ class TestCorruptCheckpoints:
         save_checkpoint(manager, engine, applied_seq=1)
         leftover = manager.directory / ".tmp-ckpt-000000000009"
         leftover.mkdir()
-        (leftover / "store.json").write_text("half-written")
+        (leftover / "store.snap").write_text("half-written")
 
         assert manager.load_latest().applied_seq == 1
         save_checkpoint(manager, engine, applied_seq=2)
@@ -139,47 +165,6 @@ class TestCheckpointFailpoint:
         # The failpoint is exhausted; the next save succeeds.
         save_checkpoint(manager, engine, applied_seq=2)
         assert manager.load_latest().applied_seq == 2
-
-
-class TestCompactCheckpoints:
-    def test_compact_round_trip(self, tmp_path, engine):
-        manager = CheckpointManager(tmp_path, compact=True)
-        newest = save_checkpoint(manager, engine, applied_seq=5, journal_offset=9)
-        assert (newest / "store.snap").exists()
-        assert not (newest / "store.json").exists()
-        manifest = json.loads((newest / "manifest.json").read_text())
-        assert manifest["store_format"] == "compact"
-
-        loaded = CheckpointManager(tmp_path).load_latest()
-        assert loaded is not None
-        assert loaded.applied_seq == 5
-        assert canonical_store_payload(loaded.store) == canonical_store_payload(
-            engine.store
-        )
-        # The thawed store must be mutable (journal replay builds on it).
-        from repro.system.speech_store import SpeechStore
-
-        assert isinstance(loaded.store, SpeechStore)
-
-    def test_compact_corruption_falls_back_to_older(self, tmp_path, engine):
-        manager = CheckpointManager(tmp_path, compact=True)
-        save_checkpoint(manager, engine, applied_seq=1)
-        newest = save_checkpoint(manager, engine, applied_seq=2)
-        blob = bytearray((newest / "store.snap").read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        (newest / "store.snap").write_bytes(bytes(blob))
-        assert manager.load_latest().applied_seq == 1
-
-    def test_formats_can_be_mixed_across_saves(self, tmp_path, engine):
-        CheckpointManager(tmp_path, compact=False).save(
-            engine.store, engine.table, applied_seq=1, store_version=1, journal_offset=0
-        )
-        CheckpointManager(tmp_path, compact=True).save(
-            engine.store, engine.table, applied_seq=2, store_version=2, journal_offset=0
-        )
-        # A json-configured manager still loads the compact newest.
-        loaded = CheckpointManager(tmp_path, compact=False).load_latest()
-        assert loaded.applied_seq == 2
 
 
 class TestAppendTableHelper:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
+from repro.api import ServingConfig
 from repro.reliability import faults
-from repro.storage.checkpoint import CheckpointManager
+from repro.serving import VoiceService
+from repro.storage.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointManager
 from repro.storage.durability import JournalWriter, read_journal
 from repro.storage.recovery import (
     JOURNAL_NAME,
@@ -15,7 +21,7 @@ from repro.storage.recovery import (
 from repro.system.persistence import canonical_store_payload, store_from_payload
 from repro.system.updates import IncrementalMaintainer
 
-from tests.serving.conftest import append_table
+from tests.serving.conftest import append_table, make_engine
 
 
 def live_run(engine, data_dir, groups, dropped=()):
@@ -215,6 +221,61 @@ class TestRecoverState:
         faults.FAILPOINTS.configure(["recover.replay:times=1"])
         with pytest.raises(faults.InjectedFault):
             recover(engine, tmp_path)
+
+
+#: A data directory written by a live service before checkpoints froze
+#: ``store.snap``: it applied BATCH_A, BATCH_B and BATCH_C as one job
+#: each with ``checkpoint_every_swaps=2`` and was copied mid-run, so it
+#: holds a format-1 JSON checkpoint at seq 2 and a journal through seq 3.
+FORMAT_1_DATA_DIR = Path(__file__).parent / "data" / "data_dir_format_v1"
+
+
+class TestFormatOneDataDirectory:
+    def copy(self, tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(FORMAT_1_DATA_DIR, data_dir)
+        return data_dir
+
+    def uninterrupted(self, tmp_path, engine):
+        groups = [[append_table(rows)] for rows in (BATCH_A, BATCH_B, BATCH_C)]
+        reference_dir = tmp_path / "reference"
+        reference_dir.mkdir()
+        store, _ = live_run(engine, reference_dir, groups)
+        return canonical_store_payload(store)
+
+    def test_old_checkpoint_skipped_and_journal_replayed(self, tmp_path, engine):
+        data_dir = self.copy(tmp_path)
+        recovered = recover(engine, data_dir)
+        assert recovered.checkpoint is None
+        assert recovered.replayed_seqs == (1, 2, 3)
+        assert canonical_store_payload(recovered.store) == self.uninterrupted(
+            tmp_path, engine
+        )
+
+    def test_service_converts_directory_with_snap_checkpoint(
+        self, tmp_path, engine, example_table
+    ):
+        data_dir = self.copy(tmp_path)
+        expected = self.uninterrupted(tmp_path, engine)
+        service = VoiceService(
+            make_engine(example_table), ServingConfig(data_dir=str(data_dir))
+        )
+        service.durability.close()
+        assert canonical_store_payload(service.engine.store) == expected
+
+        newest = CheckpointManager(data_dir).list_checkpoints()[-1]
+        assert newest.name == "ckpt-000000000003"
+        assert (newest / "store.snap").exists()
+        assert not (newest / "store.json").exists()
+        manifest = json.loads((newest / "manifest.json").read_text())
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION
+
+        # The next start loads the converted checkpoint and replays nothing.
+        again = recover(make_engine(example_table), data_dir)
+        assert again.checkpoint is not None
+        assert again.checkpoint.path == newest
+        assert again.replayed_seqs == ()
+        assert canonical_store_payload(again.store) == expected
 
 
 class TestCanonicalPayloadParity:
