@@ -222,6 +222,7 @@ class VoiceQueryEngine:
             target_synonyms=self._target_synonyms,
             dimension_synonyms=self._dimension_synonyms,
         )
+        self._help_text = self._build_help_text()
         if self._advanced_enabled:
             from repro.system.advanced import ComparisonAnswerer, ExtremumAnswerer
 
@@ -349,8 +350,8 @@ class VoiceQueryEngine:
         table with every append; at service stop the engine must follow
         so parsing (new dimension values), advanced answers and any
         future pre-processing see the same data the maintained store
-        was built from.  Rebuilds the problem generator, parser and
-        advanced answerers against the new table.
+        was built from.  Rebuilds the problem generator, parser, help
+        text and advanced answerers against the new table.
         """
         self._table = table
         self._rebuild_table_components()
@@ -438,11 +439,11 @@ class VoiceQueryEngine:
         if request_type is RequestType.HELP:
             return VoiceResponse(
                 kind=ResponseKind.HELP,
-                text=self._help_text(),
+                text=self._help_text,
                 request_type=request_type,
             )
         if request_type is RequestType.REPEAT:
-            text = last_response.text if last_response else self._help_text()
+            text = last_response.text if last_response else self._help_text
             return VoiceResponse(
                 kind=ResponseKind.REPEAT, text=text, request_type=request_type
             )
@@ -463,7 +464,7 @@ class VoiceQueryEngine:
             )
         return VoiceResponse(
             kind=ResponseKind.UNSUPPORTED,
-            text=self._help_text(),
+            text=self._help_text,
             request_type=request_type,
         )
 
@@ -550,7 +551,7 @@ class VoiceQueryEngine:
                 return {dimension: values[0]}, {dimension: values[1]}
         return None
 
-    def _help_text(self) -> str:
+    def _build_help_text(self) -> str:
         target = self._config.targets[0].replace("_", " ")
         dimension = self._config.dimensions[0]
         values = self._table.column(dimension).distinct_values()

@@ -11,14 +11,33 @@ distinguishes (help, repeat, comparisons, extrema, other).
 
 Parsing must stay cheap at serving time — the paper's run-time budget is
 "near zero" (Figure 10) and the serving service parses on the event
-loop — so the parser token-indexes its lexicons at construction time: a
-word token → lexicon phrases map lets :meth:`parse` verify only the
-phrases whose leading token actually occurs in the request, instead of
-regex-probing the full vocabulary per request.  The index is purely a
-candidate filter (every candidate still passes the original
-word-boundary check), so parsed output is identical to the full scan;
-``token_index=False`` keeps the scan path selectable as the parity
-oracle.
+loop — so :meth:`NaturalLanguageParser.parse` makes one pass over the
+transcript and builds no pattern per request:
+
+* the category keywords are precompiled alternations, one per category
+  (help, repeat, comparison, extremum, and the minimum direction of an
+  extremum), behind one alternation of all of them that lets a plain
+  data question skip every category test;
+* the target, value and dimension-name phrases share one table, built
+  at construction, keyed by each phrase's leading word token.  The
+  transcript is tokenized once and only phrases indexed under its
+  tokens are verified, once each, in the order a full scan would visit
+  them.  A phrase that starts and ends with a word character is verified
+  in a transcript of only alphanumerics and spaces by one ``str.find``
+  of the phrase padded by spaces, which is exactly where the
+  word-boundary regex ``\\b`` + phrase + ``\\b`` matches; any other phrase,
+  and any phrase in any other transcript, keeps that regex, compiled
+  once at construction;
+* the value matches form one scan-ordered list of ``(phrase, first
+  start)`` from which both the predicates and the value mentions are
+  derived, with the longest-first order and the containment and
+  first-dimension tie-breaks of the full scan.
+
+The original full-vocabulary scan (one ``re.search`` per lexicon phrase
+and request) lives on as the parity oracle in
+``tests/oracles/nlq_scan.py``; ``tests/system/test_nlq_token_index.py``
+checks that both give identical parses, field by field, on a fixed
+corpus and on random texts drawn from every dataset's lexicon.
 """
 
 from __future__ import annotations
@@ -26,6 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Mapping, Sequence
 
 from repro.system.config import SummarizationConfig
@@ -66,18 +86,186 @@ class ParsedRequest:
     wants_minimum: bool = False
 
 
-#: Word tokens used by the candidate index (mirrors the ``\b`` boundary
-#: semantics of the phrase regexes: a phrase can only match when its
-#: leading word token occurs in the text).
+#: Word tokens: the ``\w`` runs between which ``\b`` sees a boundary.
 _WORD_TOKEN = re.compile(r"\w+")
 
 _HELP_PATTERNS = ("help", "what can i ask", "what can you do", "how do i", "instructions")
 _REPEAT_PATTERNS = ("repeat", "say that again", "once more", "come again")
 _COMPARISON_PATTERNS = ("compare", "comparison", " versus ", " vs ", "difference between")
 _EXTREMUM_PATTERNS = (
-    "highest", "lowest", "most ", "least ", "maximum", "minimum", "worst", "best ",
-    "which has the", "who has the",
+    "highest",
+    "lowest",
+    "most ",
+    "least ",
+    "maximum",
+    "minimum",
+    "fewest",
+    "smallest",
+    "worst",
+    "best ",
+    "which has the",
+    "who has the",
 )
+_MINIMUM_PATTERNS = ("lowest", "least ", "minimum", "fewest", "smallest")
+
+
+def _keywords(patterns: Sequence[str]) -> re.Pattern[str]:
+    """One alternation that matches wherever any of ``patterns`` occurs."""
+    return re.compile("|".join(re.escape(pattern) for pattern in patterns))
+
+
+_HELP = _keywords(_HELP_PATTERNS)
+_REPEAT = _keywords(_REPEAT_PATTERNS)
+_COMPARISON = _keywords(_COMPARISON_PATTERNS)
+_EXTREMUM = _keywords(_EXTREMUM_PATTERNS)
+_MINIMUM = _keywords(_MINIMUM_PATTERNS)
+#: Any category keyword at all: most requests have none, and one search
+#: then rules out every category.
+_ANY_KEYWORD = _keywords(
+    _HELP_PATTERNS + _REPEAT_PATTERNS + _COMPARISON_PATTERNS + _EXTREMUM_PATTERNS
+)
+
+_FIRST = itemgetter(0)
+
+#: A lexicon match: ``(phrase, start of its first match, payload)``.
+_Match = tuple[str, int, Any]
+
+#: Kinds of lexicon phrase.
+_TARGET, _VALUE, _DIMENSION = range(3)
+
+
+def _is_word_char(char: str) -> bool:
+    return _WORD_TOKEN.match(char) is not None
+
+
+class _PhraseTable:
+    """Target, value and dimension-name phrases, indexed by leading word token.
+
+    A phrase occurs in a text when it matches there as a whole, i.e.
+    ``\\b`` + phrase + ``\\b`` matches.  Such a match implies that the
+    phrase's leading word token occurs as a whole token of the text, so
+    only phrases indexed under the text's tokens are verified (phrases
+    without any word token are candidates of every text), in scan order:
+    kind by kind, and within a kind in the order of the given lists.
+
+    Most transcripts are *plain*: alphanumeric characters and spaces
+    only.  In a plain text the whole matches of a phrase that starts and
+    ends with a word character are exactly the occurrences of the phrase
+    padded by one space on each side, so one ``str.find`` verifies it.
+    Every other phrase, and every phrase in any other text, is verified
+    by its word-boundary regex.  The table is not modified after
+    construction, so concurrent parses may share it.
+    """
+
+    __slots__ = ("_lexicons", "_by_token", "_always")
+
+    def __init__(self, lexicons: Sequence[Sequence[tuple[str, Any]]]):
+        self._lexicons = lexicons
+        # One entry per phrase: (scan position, kind, phrase, the phrase
+        # padded by spaces or None when it is not bounded by word
+        # characters, its word-boundary regex, payload).
+        self._by_token: dict[str, list[tuple]] = {}
+        self._always: list[tuple] = []
+        position = 0
+        for kind, lexicon in enumerate(lexicons):
+            for phrase, payload in lexicon:
+                bounded = phrase and _is_word_char(phrase[0]) and _is_word_char(phrase[-1])
+                entry = (
+                    position,
+                    kind,
+                    phrase,
+                    f" {phrase} " if bounded else None,
+                    re.compile(r"\b" + re.escape(phrase) + r"\b"),
+                    payload,
+                )
+                tokens = _WORD_TOKEN.findall(phrase)
+                if tokens:
+                    self._by_token.setdefault(tokens[0], []).append(entry)
+                else:
+                    self._always.append(entry)
+                position += 1
+
+    def __reduce__(self):
+        # Pickled as its lexicons alone, rebuilding the index and the
+        # regexes on load: shards start from a pickled engine.
+        return _PhraseTable, (self._lexicons,)
+
+    def scan(self, text: str) -> tuple[Any, list[_Match], Any]:
+        """The target, every value match and the dimension named in ``text``.
+
+        ``text`` is a normalised transcript (stripped, lower-cased and
+        padded by one space).  The target and the dimension are the
+        payloads of their longest matched phrase (the first one on
+        ties); value matches come in scan order.
+        """
+        core = text[1:-1]
+        plain = core.replace(" ", "").isalnum()
+        tokens = set(core.split(" ") if plain else _WORD_TOKEN.findall(text))
+        candidates = self._always.copy()
+        for token in tokens:
+            entries = self._by_token.get(token)
+            if entries is not None:
+                candidates += entries
+        candidates.sort(key=_FIRST)
+        target = dimension = None
+        target_length = dimension_length = 0
+        values: list[_Match] = []
+        for _, kind, phrase, padded, pattern, payload in candidates:
+            if plain and padded is not None:
+                start = text.find(padded) + 1
+                if not start:
+                    continue
+            else:
+                match = pattern.search(text)
+                if match is None:
+                    continue
+                start = match.start()
+            if kind == _VALUE:
+                values.append((phrase, start, payload))
+            elif kind == _TARGET:
+                if len(phrase) > target_length:
+                    target = payload
+                    target_length = len(phrase)
+            elif len(phrase) > dimension_length:
+                dimension = payload
+                dimension_length = len(phrase)
+        return target, values, dimension
+
+
+def _predicates_and_mentions(values: list[_Match]) -> tuple[dict[str, Any], list[tuple[str, Any]]]:
+    """Equality predicates and value mentions from the scan-ordered value matches.
+
+    Both walk the matches longest-first and skip a phrase contained in an
+    already kept longer one (e.g. "north" inside "northeast").
+    Predicates keep the first value per dimension, and only a phrase that
+    set a predicate shadows shorter ones; mentions keep every value and
+    are returned in text order of first match.
+    """
+    predicates: dict[str, Any] = {}
+    predicate_phrases: list[str] = []
+    mentions: list[tuple[int, tuple[str, Any]]] = []
+    mention_phrases: list[str] = []
+    for phrase, start, pair in values:
+        for longer in mention_phrases:
+            if phrase in longer:
+                break
+        else:
+            mention_phrases.append(phrase)
+            mentions.append((start, pair))
+        if pair[0] in predicates:
+            continue
+        for longer in predicate_phrases:
+            if phrase in longer:
+                break
+        else:
+            predicates[pair[0]] = pair[1]
+            predicate_phrases.append(phrase)
+    mentions.sort(key=_FIRST)
+    return predicates, [pair for _, pair in mentions]
+
+
+def _normalise(text: str) -> str:
+    return f" {text.strip().lower()} "
 
 
 class NaturalLanguageParser:
@@ -96,12 +284,6 @@ class NaturalLanguageParser:
     dimension_synonyms:
         Extra phrases that map a *value* to a (dimension, value) pair,
         e.g. ``{"nyc": ("borough", "Manhattan")}``.
-    token_index:
-        When True (the default), :meth:`parse` only verifies lexicon
-        phrases whose leading word token occurs in the request (built
-        once here); False keeps the original full-vocabulary scan.
-        Both produce identical parses — the scan path is the oracle of
-        the parity tests.
     """
 
     def __init__(
@@ -110,35 +292,25 @@ class NaturalLanguageParser:
         table: Table,
         target_synonyms: Mapping[str, Sequence[str]] | None = None,
         dimension_synonyms: Mapping[str, tuple[str, Any]] | None = None,
-        token_index: bool = True,
     ):
-        self._config = config
-        self._target_lexicon = self._build_target_lexicon(config.targets, target_synonyms)
-        self._value_lexicon = self._build_value_lexicon(config.dimensions, table)
+        target_lexicon = self._build_target_lexicon(config.targets, target_synonyms)
+        value_lexicon = self._build_value_lexicon(config.dimensions, table)
         for phrase, (dimension, value) in (dimension_synonyms or {}).items():
-            self._value_lexicon[phrase.lower()] = (dimension, value)
-        self._token_index_enabled = bool(token_index)
-        # Phrase lists in the exact order the scan path visits them:
-        # values longest-first (ties by insertion), targets in insertion
-        # order.  The token index stores positions into these lists so
-        # filtered candidates preserve the scan order — and with it the
-        # first-match/containment tie-breaking — exactly.
-        self._ranked_value_phrases = sorted(self._value_lexicon, key=len, reverse=True)
-        self._value_index, self._unindexed_values = self._index_phrases(
-            self._ranked_value_phrases
-        )
-        self._target_phrases = list(self._target_lexicon)
-        self._target_index, self._unindexed_targets = self._index_phrases(
-            self._target_phrases
-        )
-        # Dimension name phrases, precomputed once: (candidate, dimension)
-        # pairs in configuration order, full name before head noun.
-        self._dimension_phrases: list[tuple[str, str]] = []
+            value_lexicon[phrase.lower()] = (dimension, value)
+        # Scan orders: targets in insertion order; values longest-first
+        # (ties by insertion), which the containment tie-break relies on;
+        # dimension names in configuration order, full name before head
+        # noun ("origin region", then "region").
+        ranked_values = sorted(value_lexicon.items(), key=lambda item: len(item[0]), reverse=True)
+        dimension_phrases: list[tuple[str, str]] = []
         for dimension in config.dimensions:
             phrase = dimension.replace("_", " ").lower()
-            self._dimension_phrases.append((phrase, dimension))
+            dimension_phrases.append((phrase, dimension))
             if " " in phrase:
-                self._dimension_phrases.append((phrase.split()[-1], dimension))
+                dimension_phrases.append((phrase.split()[-1], dimension))
+        self._phrases = _PhraseTable(
+            (list(target_lexicon.items()), ranked_values, dimension_phrases)
+        )
 
     # ------------------------------------------------------------------
     # Lexicon construction
@@ -162,9 +334,7 @@ class NaturalLanguageParser:
         return lexicon
 
     @staticmethod
-    def _build_value_lexicon(
-        dimensions: Sequence[str], table: Table
-    ) -> dict[str, tuple[str, Any]]:
+    def _build_value_lexicon(dimensions: Sequence[str], table: Table) -> dict[str, tuple[str, Any]]:
         lexicon: dict[str, tuple[str, Any]] = {}
         for dimension in dimensions:
             for value in table.column(dimension).distinct_values():
@@ -175,182 +345,59 @@ class NaturalLanguageParser:
                 lexicon.setdefault(phrase, (dimension, value))
         return lexicon
 
-    @staticmethod
-    def _index_phrases(
-        phrases: Sequence[str],
-    ) -> tuple[dict[str, list[int]], tuple[int, ...]]:
-        """Map leading word token → positions of phrases starting with it.
-
-        Positions index into ``phrases`` (whose order is the scan
-        order).  Phrases without any word token cannot be pre-filtered
-        by tokens and are returned separately as always-candidates.
-        """
-        index: dict[str, list[int]] = {}
-        unindexed: list[int] = []
-        for position, phrase in enumerate(phrases):
-            tokens = _WORD_TOKEN.findall(phrase)
-            if tokens:
-                index.setdefault(tokens[0], []).append(position)
-            else:
-                unindexed.append(position)
-        return index, tuple(unindexed)
-
-    def _candidates(
-        self,
-        text: str,
-        phrases: list[str],
-        index: dict[str, list[int]],
-        unindexed: tuple[int, ...],
-    ) -> list[str]:
-        """Phrases that can possibly match ``text``, in scan order.
-
-        A ``\\b``-anchored phrase match implies the phrase's leading
-        word token occurs as a token of the text, so filtering by the
-        text's token set never drops a true match; sorting the surviving
-        positions restores the scan order exactly.
-        """
-        if not self._token_index_enabled:
-            return phrases
-        positions = set(unindexed)
-        for token in set(_WORD_TOKEN.findall(text)):
-            positions.update(index.get(token, ()))
-        if len(positions) == len(phrases):
-            return phrases
-        return [phrases[position] for position in sorted(positions)]
-
-    def _candidate_value_phrases(self, text: str) -> list[str]:
-        return self._candidates(
-            text, self._ranked_value_phrases, self._value_index, self._unindexed_values
-        )
-
-    def _candidate_target_phrases(self, text: str) -> list[str]:
-        return self._candidates(
-            text, self._target_phrases, self._target_index, self._unindexed_targets
-        )
-
     # ------------------------------------------------------------------
     # Parsing
     # ------------------------------------------------------------------
     def parse(self, text: str) -> ParsedRequest:
         """Parse one voice request into a :class:`ParsedRequest`."""
-        normalised = f" {text.strip().lower()} "
-        if self._matches_any(normalised, _HELP_PATTERNS):
+        normalised = _normalise(text)
+        keyword = _ANY_KEYWORD.search(normalised) is not None
+        if keyword and _HELP.search(normalised) is not None:
             return ParsedRequest(text=text, kind=RequestKind.HELP)
-        if self._matches_any(normalised, _REPEAT_PATTERNS):
+        if keyword and _REPEAT.search(normalised) is not None:
             return ParsedRequest(text=text, kind=RequestKind.REPEAT)
 
-        target = self._extract_target(normalised)
-        predicates = self._extract_predicates(normalised)
-        mentions = self.extract_value_mentions(normalised)
-        dimension = self.extract_dimension_mention(normalised)
-
-        if self._matches_any(normalised, _COMPARISON_PATTERNS):
-            query = DataQuery.create(target, predicates) if target else None
-            return ParsedRequest(
-                text=text,
-                kind=RequestKind.COMPARISON,
-                query=query,
-                matched_values=predicates,
-                value_mentions=mentions,
-                mentioned_dimension=dimension,
-            )
-        if self._matches_any(normalised, _EXTREMUM_PATTERNS):
-            query = DataQuery.create(target, predicates) if target else None
-            wants_minimum = self._matches_any(
-                normalised, ("lowest", "least ", "minimum", "fewest", "smallest")
-            )
-            return ParsedRequest(
-                text=text,
-                kind=RequestKind.EXTREMUM,
-                query=query,
-                matched_values=predicates,
-                value_mentions=mentions,
-                mentioned_dimension=dimension,
-                wants_minimum=wants_minimum,
-            )
-        if target is None:
+        target, values, dimension = self._phrases.scan(normalised)
+        predicates, mentions = _predicates_and_mentions(values)
+        if keyword and _COMPARISON.search(normalised) is not None:
+            kind = RequestKind.COMPARISON
+        elif keyword and _EXTREMUM.search(normalised) is not None:
+            kind = RequestKind.EXTREMUM
+        elif target is None:
             return ParsedRequest(text=text, kind=RequestKind.OTHER, matched_values=predicates)
+        else:
+            return ParsedRequest(
+                text=text,
+                kind=RequestKind.QUERY,
+                query=DataQuery.create(target, predicates),
+                matched_values=predicates,
+                value_mentions=mentions,
+            )
+        wants_minimum = kind is RequestKind.EXTREMUM and _MINIMUM.search(normalised) is not None
         return ParsedRequest(
             text=text,
-            kind=RequestKind.QUERY,
-            query=DataQuery.create(target, predicates),
+            kind=kind,
+            query=DataQuery.create(target, predicates) if target else None,
             matched_values=predicates,
             value_mentions=mentions,
+            mentioned_dimension=dimension,
+            wants_minimum=wants_minimum,
         )
-
-    # ------------------------------------------------------------------
-    # Extraction internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _matches_any(text: str, patterns: Sequence[str]) -> bool:
-        return any(pattern in text for pattern in patterns)
-
-    def _extract_target(self, text: str) -> str | None:
-        """The target column whose longest synonym appears in the text."""
-        best: str | None = None
-        best_length = 0
-        for phrase in self._candidate_target_phrases(text):
-            if len(phrase) > best_length and self._phrase_in_text(phrase, text):
-                best = self._target_lexicon[phrase]
-                best_length = len(phrase)
-        return best
 
     def extract_value_mentions(self, text: str) -> list[tuple[str, Any]]:
         """Every recognised dimension value, in text order of first match.
 
-        Unlike :meth:`_extract_predicates`, a dimension may contribute
-        several values ("between East and West"); phrases contained in a
-        longer matched phrase are still skipped.
+        Unlike the predicates, a dimension may contribute several values
+        ("between East and West"); phrases contained in a longer matched
+        phrase are still skipped.
         """
-        normalised = f" {text.strip().lower()} "
-        mentions: list[tuple[str, int]] = []
-        matched_phrases: list[str] = []
-        for phrase in self._candidate_value_phrases(normalised):
-            match = re.search(r"\b" + re.escape(phrase) + r"\b", normalised)
-            if not match:
-                continue
-            if any(phrase in longer for longer in matched_phrases):
-                continue
-            matched_phrases.append(phrase)
-            mentions.append((phrase, match.start()))
-        mentions.sort(key=lambda item: item[1])
-        return [self._value_lexicon[phrase] for phrase, _ in mentions]
+        return _predicates_and_mentions(self._phrases.scan(_normalise(text))[1])[1]
 
     def extract_dimension_mention(self, text: str) -> str | None:
         """A dimension column referenced by name in the text, if any.
 
-        Candidate phrases (each dimension's full name plus, for
-        multi-word names, its head noun — "region" for "origin region")
-        are precomputed in ``__init__``; the longest matching phrase
-        wins.
+        Candidate phrases are each dimension's full name plus, for
+        multi-word names, its head noun ("region" for "origin region");
+        the longest matching phrase wins.
         """
-        normalised = f" {text.strip().lower()} "
-        best: str | None = None
-        best_length = 0
-        for candidate, dimension in self._dimension_phrases:
-            if len(candidate) > best_length and self._phrase_in_text(candidate, normalised):
-                best = dimension
-                best_length = len(candidate)
-        return best
-
-    def _extract_predicates(self, text: str) -> dict[str, Any]:
-        """Equality predicates for every dimension value mentioned in the text."""
-        predicates: dict[str, Any] = {}
-        matched_phrases: list[str] = []
-        for phrase in self._candidate_value_phrases(text):
-            if not self._phrase_in_text(phrase, text):
-                continue
-            # Skip phrases fully contained in an already matched longer phrase
-            # (e.g. "north" inside "northeast").
-            if any(phrase in longer for longer in matched_phrases):
-                continue
-            dimension, value = self._value_lexicon[phrase]
-            if dimension not in predicates:
-                predicates[dimension] = value
-                matched_phrases.append(phrase)
-        return predicates
-
-    @staticmethod
-    def _phrase_in_text(phrase: str, text: str) -> bool:
-        pattern = r"\b" + re.escape(phrase) + r"\b"
-        return re.search(pattern, text) is not None
+        return self._phrases.scan(_normalise(text))[2]

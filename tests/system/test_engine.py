@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.relational.column import ColumnType
+from repro.relational.table import Table
 from repro.system.classification import RequestType
 from repro.system.config import SummarizationConfig
 from repro.system.engine import ResponseKind, VoiceQueryEngine
@@ -107,3 +109,31 @@ class TestAnswerQuery:
     def test_unknown_target(self, engine):
         response = engine.answer_query(DataQuery.create("price", {}))
         assert response.kind is ResponseKind.NO_DATA
+
+
+class TestHelpText:
+    @staticmethod
+    def expected(example: str) -> str:
+        return (
+            "You can ask about a value for a data subset, for example "
+            f"'what is the delay for {example}?'. I answer with a short summary "
+            "of the relevant data."
+        )
+
+    def test_help_text_is_exact_and_follows_adopted_table(self, engine, example_table):
+        assert engine.ask("help").text == self.expected("East")
+        assert engine.ask("play some music").text == self.expected("East")
+        rows = [("Central", "Winter", 12.0)]
+        rows += [(row["region"], row["season"], row["delay"]) for row in example_table.to_dicts()]
+        engine.adopt_table(
+            Table.from_rows(
+                "flight_delays",
+                ["region", "season", "delay"],
+                [ColumnType.CATEGORICAL, ColumnType.CATEGORICAL, ColumnType.NUMERIC],
+                rows,
+            )
+        )
+        assert engine.ask("help").text == self.expected("Central")
+        assert engine.ask("play some music").text == self.expected("Central")
+        engine.adopt_table(example_table)
+        assert engine.ask("help").text == self.expected("East")

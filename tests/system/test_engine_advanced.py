@@ -4,6 +4,7 @@ import pytest
 
 from repro.system.config import SummarizationConfig
 from repro.system.engine import ResponseKind, VoiceQueryEngine
+from repro.system.nlq import RequestKind
 
 
 def build_engine(example_table, enable_advanced: bool) -> VoiceQueryEngine:
@@ -66,6 +67,15 @@ class TestExtremumRequests:
 
     def test_minimum_request(self, advanced_engine):
         response = advanced_engine.ask("which region has the lowest delay")
+        assert response.kind is ResponseKind.EXTREMUM
+        assert "lowest" in response.text
+
+    @pytest.mark.parametrize("word", ["fewest", "smallest"])
+    def test_fewest_and_smallest_are_minimum_requests(self, advanced_engine, word):
+        response = advanced_engine.ask(f"which region has the {word} delay")
+        parsed = advanced_engine.session_log.requests[-1]
+        assert parsed.kind is RequestKind.EXTREMUM
+        assert parsed.wants_minimum
         assert response.kind is ResponseKind.EXTREMUM
         assert "lowest" in response.text
 
